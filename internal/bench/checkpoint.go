@@ -1,7 +1,7 @@
 // checkpoint.go is the checkpoint/resume overhead scenario: the same job
 // fleet is run three times — on a plain scheduler, on a scheduler writing
 // durable checkpoints to a file-backed WAL, and on the durable scheduler
-// with every job suspended and resumed once mid-flight — so the cost of the
+// with every job suspended once in the queue and resumed — so the cost of the
 // durability layer (the acceptance bar: <= 5% makespan overhead when nobody
 // suspends) and of a checkpointed pause itself are both visible as ratios.
 // A fourth measurement times raw WAL appends, the per-snapshot write cost.
@@ -14,6 +14,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"sync"
 	"time"
 
 	"loopsched/internal/jobs"
@@ -85,8 +86,8 @@ type CheckpointReport struct {
 	N       int `json:"n"`
 	// Baseline runs without a checkpoint store; Durable attaches a
 	// file-backed store (every submission writes its snapshot, completions
-	// delete it); SuspendResume additionally parks and re-admits every job
-	// once mid-flight.
+	// delete it); SuspendResume additionally parks every job once while it
+	// waits in the queue (writing its park record) and re-admits it.
 	Baseline      CheckpointPhaseResult `json:"baseline"`
 	Durable       CheckpointPhaseResult `json:"durable"`
 	SuspendResume CheckpointPhaseResult `json:"suspend_resume"`
@@ -104,8 +105,8 @@ type CheckpointReport struct {
 
 // runCheckpointPhase runs one fleet to completion and reports its makespan.
 // With a store, every request carries a durable checkpoint template; with
-// churn, a controller suspends each job once and resumes it as soon as it
-// parks.
+// churn, every job is suspended once while it waits in the queue and then
+// resumed.
 func runCheckpointPhase(opt CheckpointOptions, store jobs.CheckpointStore, churn bool) (CheckpointPhaseResult, error) {
 	var tracer *trace.Tracer
 	if store != nil {
@@ -127,6 +128,35 @@ func runCheckpointPhase(opt CheckpointOptions, store jobs.CheckpointStore, churn
 		return CheckpointPhaseResult{}, err
 	}
 
+	var hold *jobs.Job
+	gate := make(chan struct{})
+	var opened sync.Once
+	openGate := func() { opened.Do(func() { close(gate) }) }
+	defer openGate() // before s.Close, which waits for the gate's workers
+	if churn {
+		// Occupy the whole team with a gate job first, so the fleet queues
+		// behind it. Suspend parks a Pending job before it returns, so every
+		// job parks, exactly once; a suspend posted to a running job can
+		// instead be absorbed by its completion (see Job.Suspend). The gate
+		// is rigid (an ordered reduction): one static block per worker, so
+		// entered counts workers, where elastic chunks could double up.
+		var entered sync.WaitGroup
+		entered.Add(opt.Workers)
+		hold, err = s.Submit(jobs.Request{
+			N: opt.Workers, Grain: 1, Label: "gate",
+			RBody: func(w, lo, hi int, acc float64) float64 {
+				entered.Done()
+				<-gate
+				return acc
+			},
+			Combine: func(a, b float64) float64 { return a + b },
+		})
+		if err != nil {
+			return CheckpointPhaseResult{}, err
+		}
+		entered.Wait()
+	}
+
 	start := time.Now()
 	handles := make([]*jobs.Job, opt.Jobs)
 	for i := range handles {
@@ -142,30 +172,20 @@ func runCheckpointPhase(opt CheckpointOptions, store jobs.CheckpointStore, churn
 			return CheckpointPhaseResult{}, err
 		}
 		handles[i] = j
-		if churn {
-			// Suspend right on the heels of the submit, where it always
-			// lands: the job is either still pending (parks instantly) or has
-			// just started (parks at its first chunk-wave boundary) — it
-			// cannot have drained all N iterations in the microseconds since
-			// Submit. Suspending later would race the workers: on a wide
-			// machine the fleet finishes faster than a churn loop can walk it.
-			j.Suspend()
+		if churn && (!j.Suspend() || j.State() != jobs.Suspended) {
+			return CheckpointPhaseResult{}, fmt.Errorf("job %d: queued behind the gate but did not park (state %v)", i, j.State())
 		}
 	}
 	if churn {
-		// Resume the whole parked fleet. Resume spins briefly per job: a
-		// suspend posted to a running job only parks it at the next wave
-		// boundary, slightly after Suspend returned.
-		for _, j := range handles {
-			for !j.Resume() {
-				select {
-				case <-j.Done():
-					goto next // finished before its park landed
-				default:
-					runtime.Gosched()
-				}
+		// Open the gate and resume the whole parked fleet.
+		openGate()
+		if _, err := hold.Wait(); err != nil {
+			return CheckpointPhaseResult{}, fmt.Errorf("gate job: %w", err)
+		}
+		for i, j := range handles {
+			if !j.Resume() {
+				return CheckpointPhaseResult{}, fmt.Errorf("job %d: resume refused (state %v)", i, j.State())
 			}
-		next:
 		}
 	}
 	want := float64(opt.N)

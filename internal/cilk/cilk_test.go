@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"loopsched/internal/reduce"
 	"loopsched/internal/sched"
@@ -37,10 +38,18 @@ func TestStealsHappenUnderLoad(t *testing.T) {
 	defer rt.Close()
 	rt.Counters().Reset()
 	// A loop with enough unbalanced work per iteration that thieves get a
-	// chance to participate.
+	// chance to participate. The first leaf waits for a steal (bounded): its
+	// siblings sit in the master's deque meanwhile, so a working thief must
+	// take one as soon as it runs at all — on a loaded machine the master
+	// could otherwise finish every loop before a thief is scheduled.
 	var sink atomic.Int64
 	for rep := 0; rep < 20 && rt.Counters().Get(trace.Steals) == 0; rep++ {
 		rt.For(10000, func(w, begin, end int) {
+			if begin == 0 {
+				for deadline := time.Now().Add(5 * time.Second); rt.Counters().Get(trace.Steals) == 0 && time.Now().Before(deadline); {
+					runtime.Gosched()
+				}
+			}
 			local := int64(0)
 			for i := begin; i < end; i++ {
 				local += int64(i % 7)

@@ -2,6 +2,8 @@ package jobs
 
 import (
 	"testing"
+
+	"loopsched/internal/trace"
 )
 
 // warmSubmitPath primes every recyclable capacity on the submit path: the job
@@ -116,5 +118,32 @@ func TestSubmitBatchAllocs(t *testing.T) {
 	avg := testing.AllocsPerRun(100, cycle)
 	if got := avg / batch; got != 0 {
 		t.Errorf("SubmitBatch cycle: %v allocs per submitted job, want 0", got)
+	}
+}
+
+// TestSubmitAllocsTraced pins the cost of lifecycle tracing with nobody
+// subscribed: the job's events and participant stints fit the JobTrace's
+// inline storage and the collector files it in a ring slot, so a traced
+// Submit/Wait/Release cycle allocates exactly the JobTrace.
+func TestSubmitAllocsTraced(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under -race")
+	}
+	s := New(Config{Workers: 2, QueueDepth: 64, Tracer: trace.NewTracer(64)})
+	defer s.Close()
+	req := Request{N: 64, Body: func(w, lo, hi int) {}}
+	warmSubmitPath(t, s, req)
+	avg := testing.AllocsPerRun(500, func() {
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		j.Release()
+	})
+	if avg > 1 {
+		t.Errorf("traced Submit/Wait/Release cycle: %v allocs/op, want <= 1 (the JobTrace)", avg)
 	}
 }

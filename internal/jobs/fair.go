@@ -425,23 +425,27 @@ func (fq *fairQueue) remove(j *Job) bool {
 	return false
 }
 
-// peek returns the job pop would return next, without popping or charging
-// (the clock still advances to the current class floor, which is
-// idempotent and side-effect-equivalent to the pop that follows).
-func (fq *fairQueue) peek() *Job {
+// peek returns the priority and deadline of the job pop would return next,
+// without popping or charging (the clock still advances to the current
+// class floor, which is idempotent and side-effect-equivalent to the pop
+// that follows); ok is false on an empty queue. The fields are copied under
+// the queue lock: once the lock drops, a sibling
+// shard may steal the job, run it and see it released and recycled.
+func (fq *fairQueue) peek() (prio int, deadline time.Time, ok bool) {
 	fq.mu.Lock()
 	defer fq.mu.Unlock()
 	if fq.size == 0 {
-		return nil
+		return 0, time.Time{}, false
 	}
+	var head *Job
 	if fq.fifo {
-		return fq.fifoQ[0]
+		head = fq.fifoQ[0]
+	} else if best := fq.bestLocked(); best != nil {
+		head = best.q[0]
+	} else {
+		return 0, time.Time{}, false
 	}
-	best := fq.bestLocked()
-	if best == nil {
-		return nil
-	}
-	return best.q[0]
+	return head.prio, head.deadline, true
 }
 
 // len returns the number of queued jobs.

@@ -277,6 +277,11 @@ type Job struct {
 
 	// Elastic execution state (zero for rigid jobs).
 	elastic bool
+	// ungrowable is the once-per-generation guard of the job's exit from its
+	// scheduler's grow registry: the first participant to find the cursor
+	// exhausted (or the completion, when none did) wins it and takes growMu;
+	// everyone after skips the lock.
+	ungrowable atomic.Bool
 	// cursor hands out grain-sized chunks of [0, N); one atomic add per
 	// claim is the hot path's only shared-state operation. Padded: every
 	// participant hammers the claim cursor, and the fields after it (active,
@@ -319,6 +324,7 @@ type Job struct {
 	// written only at quiescent points — submit, the suspended park, resume —
 	// and published by the state transitions around them.
 	suspendReq     atomic.Bool
+	suspendMu      sync.Mutex   // serializes Suspend callers' post-and-recheck
 	suspendedAt    atomic.Int64 // unix nanos of the park, for wait accounting
 	suspendedNanos atomic.Int64 // cumulative suspended wall time
 	ranNanos       atomic.Int64 // run time accumulated over earlier stints
@@ -327,8 +333,13 @@ type Job struct {
 	ckptSeed       int          // watermark inherited at submit (crash recovery)
 	ckpt           *Checkpoint  // store snapshot template; nil = not durable
 
+	// submitted, started and doneAt are the clock reads of the job's
+	// lifecycle — submission, the (latest) release wave, completion — shared
+	// by the latency accounting and the trace's submitted, dispatched and
+	// joined events.
 	submitted time.Time
 	started   time.Time
+	doneAt    time.Time
 
 	// s is the scheduler currently responsible for the job: the admitting
 	// shard's. It is re-pointed when a queued job is stolen and when a
@@ -531,33 +542,44 @@ func (j *Job) Cancel() bool {
 // from its admission queue immediately; a Running elastic job is asked to
 // quiesce and parks in the Suspended state once every participant has
 // finished its current chunk (poll State for the park). A Running rigid job
-// — ordered reduction, or DisableElastic — ignores the request and completes:
-// its static blocks have no chunk boundary to cut at.
+// — ordered reduction, or DisableElastic — refuses: its static blocks have
+// no chunk boundary to cut at.
 //
 // Suspend reports whether the suspension is in effect or accepted; false
-// means the job was blocked, terminal, or canceled in the window. Like
-// Blocked, a Suspended job sits outside every queue: it holds no queue slot,
-// does not count toward the fair-share depth, and cannot be stolen.
+// means the job was blocked, terminal, rigid and running, or canceled in the
+// window. Like Blocked, a Suspended job sits outside every queue: it holds
+// no queue slot, does not count toward the fair-share depth, and cannot be
+// stolen.
+//
+// An accepted request on a Running job has exactly one of two outcomes. The
+// job parks (State becomes Suspended), or — when its cursor drained before
+// the participants quiesced — the request is absorbed and the job completes
+// normally: every iteration ran, Wait returns the full result, Resume
+// reports false. An absorbed request is counted in Stats.SuspendAbsorbed and
+// recorded as a suspend_absorbed trace event just before joined. Only a
+// Pending job is guaranteed to park.
 func (j *Job) Suspend() bool {
 	for {
 		switch st := j.state.Load(); st {
 		case int32(Pending):
-			s := j.s
-			if s == nil {
+			home := j.home
+			if home == nil {
 				return false
 			}
 			// Take the queue entry out FIRST: the dispatcher and stealing
 			// siblings always pop before their state CAS, so owning the entry
 			// leaves Cancel as the only remaining contender for the state.
-			if !s.fq.remove(j) {
-				// Pending but not in s's queue: mid-pop, mid-steal, or a
-				// stale queue pointer. Every such window ends with another
-				// goroutine's next step (admit CAS, steal re-push), so
-				// re-read the state and retry.
+			s := home.unqueue(j)
+			if s == nil {
+				// Pending but in no queue: mid-pop, mid-steal, or between a
+				// release's state flip and its push. Every such window ends
+				// with another goroutine's next step (admit CAS, steal
+				// re-push, the push), so re-read the state and retry.
 				runtime.Gosched()
 				continue
 			}
-			if !j.state.CompareAndSwap(int32(Pending), int32(Suspended)) {
+			j.suspendedAt.Store(time.Now().UnixNano())
+			if !home.noteSuspended(j, Pending) {
 				// Canceled in the window. Cancel already settled the depth
 				// and slot accounting; dropping the removed entry here is
 				// exactly what the dispatcher's failed admission CAS would
@@ -566,17 +588,17 @@ func (j *Job) Suspend() bool {
 			}
 			s.depth.Add(-1)
 			s.releaseQueueSlot()
-			j.suspendedAt.Store(time.Now().UnixNano())
-			if home := j.home; home != nil {
-				home.noteSuspended(j)
-			}
 			return true
 		case int32(Running):
+			if home := j.home; home == nil || !home.elasticFor(j) {
+				return false // rigid: no chunk boundary to park at
+			}
 			// Post the quiesce request; participants observe it between
 			// chunks (see runElastic) and the last one out parks the job.
 			// Idempotent: re-suspending while quiescing is accepted too.
-			j.suspendReq.Store(true)
-			return true
+			if j.postSuspend() {
+				return true
+			}
 		case int32(Suspended):
 			return true
 		case stateStealing:
@@ -585,6 +607,24 @@ func (j *Job) Suspend() bool {
 			return false
 		}
 	}
+}
+
+// postSuspend posts the quiesce request on a job observed Running and
+// reports whether it was accepted. The request is consumed by whichever side
+// ends the run: noteSuspended clears it after parking, recordCompletion
+// swaps it out after storing Done (counting it absorbed). If the job left
+// Running before the post landed, the request is retracted unless one of
+// those already consumed it; a retraction returns false and the caller
+// re-reads the state. suspendMu makes concurrent callers' post-and-recheck
+// atomic, so one caller's retraction never undoes another's accepted post.
+func (j *Job) postSuspend() bool {
+	j.suspendMu.Lock()
+	defer j.suspendMu.Unlock()
+	j.suspendReq.Store(true)
+	if j.state.Load() == int32(Running) {
+		return true
+	}
+	return !j.suspendReq.CompareAndSwap(true, false)
 }
 
 // Resume re-admits a Suspended job: it re-enters admission (on the
@@ -612,10 +652,10 @@ func (j *Job) Resume() bool {
 // parkSuspended is called by the last quiescing participant (active hit 0):
 // every participant has folded its partial and left, so the claim watermark
 // and the shared accumulator are exact. A suspension that raced the cursor's
-// exhaustion completes the job instead — every iteration already executed.
+// exhaustion is absorbed: the job completes instead — every iteration
+// already executed — and recordCompletion counts the absorbed request.
 func (j *Job) parkSuspended() {
 	if j.cursor.Remaining() == 0 {
-		j.suspendReq.Store(false)
 		j.complete()
 		return
 	}
@@ -625,20 +665,14 @@ func (j *Job) parkSuspended() {
 	j.resumeAcc = j.acc
 	j.ranNanos.Add(int64(now.Sub(j.started)))
 	j.suspendedAt.Store(now.UnixNano())
-	j.suspendReq.Store(false)
 	if s != nil {
 		s.growMu.Lock()
 		delete(s.growSet, j)
 		s.growables.Store(int32(len(s.growSet)))
 		s.growMu.Unlock()
-	}
-	j.state.Store(int32(Suspended))
-	if s != nil {
 		s.running.Add(-1)
 	}
-	if home := j.home; home != nil {
-		home.noteSuspended(j)
-	}
+	j.home.noteSuspended(j, Running)
 }
 
 // Workers returns the peak sub-team size the job has run on (0 until it is
@@ -664,8 +698,9 @@ func (j *Job) TraceID() uint64 {
 func (j *Job) Label() string { return j.req.Label }
 
 // initElastic prepares the elastic execution state for a job about to be
-// admitted on k initial workers, with the given chunk size and participant
-// cap. Called by the admitting goroutine strictly before the release wave.
+// admitted on k initial workers (sub ids 0..k-1), with the given chunk size
+// and participant cap k <= maxK. Called by the admitting goroutine strictly
+// before the release wave.
 // The slot stack's backing array is reused across the job's generations.
 //
 // The whole re-initialization runs under slotMu, paired with tryGrow holding
@@ -690,12 +725,12 @@ func (j *Job) initElastic(k, chunk, maxK int) {
 	j.maxK = maxK
 	if cap(j.freeSubs) < maxK {
 		j.freeSubs = make([]int, maxK)
-	} else {
-		j.freeSubs = j.freeSubs[:maxK]
 	}
+	// The initial team takes the dense ids 0..k-1 (so rigid and elastic sub
+	// ids agree for it); the stack holds the rest for growers, popped in
+	// increasing order.
+	j.freeSubs = j.freeSubs[:maxK-k]
 	for i := range j.freeSubs {
-		// Stack order: the release wave pops dense ids 0, 1, 2, ... so rigid
-		// and elastic sub ids agree for the initial team.
 		j.freeSubs[i] = maxK - 1 - i
 	}
 	if j.resumeFrom > 0 {
@@ -706,20 +741,6 @@ func (j *Job) initElastic(k, chunk, maxK int) {
 	j.active.Store(int32(k))
 	j.workers.Store(int32(k))
 	j.slotMu.Unlock()
-}
-
-// popSlot takes a free dense sub-worker id, if one remains.
-func (j *Job) popSlot() (int, bool) {
-	j.slotMu.Lock()
-	n := len(j.freeSubs)
-	if n == 0 {
-		j.slotMu.Unlock()
-		return 0, false
-	}
-	sub := j.freeSubs[n-1]
-	j.freeSubs = j.freeSubs[:n-1]
-	j.slotMu.Unlock()
-	return sub, true
 }
 
 // pushSlot returns a dense sub-worker id to the free stack. The append never
@@ -789,17 +810,25 @@ func (j *Job) tryGrow() (sub int, ok bool) {
 	}
 }
 
-// tryPeel decrements the participant count only if another participant
-// remains, so a job is never abandoned with unclaimed work. It reports
-// whether the caller may stop taking chunks.
-func (j *Job) tryPeel() bool {
+// peel leaves the sub-team early: it drops the participant count only if
+// another participant remains, so a job is never abandoned with unclaimed
+// work, and returns the slot sub to the free stack. It reports the
+// participants left and whether the caller may stop taking chunks. The
+// count drop and the slot return share one slotMu section: every other
+// leave returns its slot under slotMu before its own decrement, so the job
+// cannot complete — and be recycled by its owner — between the two, which
+// would push this generation's id onto the next generation's stack.
+func (j *Job) peel(sub int) (left int, ok bool) {
+	j.slotMu.Lock()
+	defer j.slotMu.Unlock()
 	for {
 		a := j.active.Load()
 		if a <= 1 {
-			return false
+			return 0, false
 		}
 		if j.active.CompareAndSwap(a, a-1) {
-			return true
+			j.freeSubs = append(j.freeSubs, sub)
+			return int(a - 1), true
 		}
 	}
 }
@@ -815,6 +844,7 @@ func (j *Job) tryPeel() bool {
 // shard (the lender wants its worker back for local tenants).
 func (j *Job) runElastic(home *Scheduler, sub int) {
 	reducing := j.req.RBody != nil
+	tr := j.tr
 	for {
 		acc := j.req.Identity
 		touched := false
@@ -831,6 +861,9 @@ func (j *Job) runElastic(home *Scheduler, sub int) {
 			}
 			r, ok := j.cursor.Next()
 			if !ok {
+				// Nothing left to grow onto: leave the registry now, so a
+				// parking worker does not wake the dispatcher for this job.
+				j.leaveGrowSet()
 				break
 			}
 			if reducing {
@@ -882,11 +915,12 @@ func (j *Job) runElastic(home *Scheduler, sub int) {
 			}
 			return
 		}
-		if j.tryPeel() {
-			j.pushSlot(sub)
+		if left, ok := j.peel(sub); ok {
+			// The job may complete and be recycled from here on: only the
+			// trace handle read before the peel is still this job's.
 			if home != nil {
 				home.peeled.Add(1)
-				j.tr.Event(trace.EvPeeled, home.cfg.shard, int(j.active.Load()), "")
+				tr.Event(trace.EvPeeled, home.cfg.shard, left, "")
 			}
 			return
 		}
@@ -894,6 +928,21 @@ func (j *Job) runElastic(home *Scheduler, sub int) {
 		// was folding, so it is now the job's only worker and must keep
 		// going (with a fresh partial; arrival-order folding permits it).
 	}
+}
+
+// leaveGrowSet removes an elastic job from its scheduler's grow registry,
+// once per generation: by the first participant to find the cursor
+// exhausted, or by the completion when none did (a job parked by a suspend
+// leaves through parkSuspended instead, and may re-register on resume).
+func (j *Job) leaveGrowSet() {
+	if j.ungrowable.Load() || !j.ungrowable.CompareAndSwap(false, true) {
+		return
+	}
+	s := j.s
+	s.growMu.Lock()
+	delete(s.growSet, j)
+	s.growables.Store(int32(len(s.growSet)))
+	s.growMu.Unlock()
 }
 
 // underPressure reports whether a tenant is waiting for admission on the
@@ -918,6 +967,9 @@ type assignment struct {
 	bar barrier.HalfPair
 	// elastic routes the worker through chunk self-scheduling.
 	elastic bool
+	// wave is the trace index of this participant stint, recorded by
+	// whoever handed the assignment out (-1 when untraced or past the cap).
+	wave int
 }
 
 // run executes this worker's share of the job and participates in the join
@@ -927,15 +979,11 @@ type assignment struct {
 func (a *assignment) run(home *Scheduler) {
 	j := a.job
 	if j.tr != nil {
-		// One chunk-wave child span per participant stint. The stint of the
+		// One chunk-wave child span per participant stint, started by the
+		// release wave or grower that handed this one out. The stint of the
 		// completing participant ends just after the join wave publishes the
 		// result; exporters fall back to the trace end for still-open waves.
-		sh := 0
-		if home != nil {
-			sh = home.cfg.shard
-		}
-		w := j.tr.WaveStart(sh, home != j.s)
-		defer j.tr.WaveEnd(w)
+		defer j.tr.WaveEnd(a.wave)
 	}
 	if a.elastic {
 		j.runElastic(home, a.sub)
@@ -1135,9 +1183,9 @@ func (j *Job) release() {
 			if j.home != nil {
 				sh = j.home.cfg.shard
 			}
-			j.tr.Event(trace.EvReleased, sh, 0, "")
-			j.tr.Event(trace.EvAdmitted, sh, 0, "")
-			j.tr.Event(trace.EvDispatched, sh, 0, "degenerate")
+			j.tr.EventAt(trace.EvReleased, sh, 0, "", j.started)
+			j.tr.EventAt(trace.EvAdmitted, sh, 0, "", j.started)
+			j.tr.EventAt(trace.EvDispatched, sh, 0, "degenerate", j.started)
 		}
 		j.complete()
 		return

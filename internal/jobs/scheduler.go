@@ -239,9 +239,13 @@ type Scheduler struct {
 	blockedHeld int
 	queuedHeld  int
 
-	// growSet is the registry of running elastic jobs: the dispatcher grows
-	// and preempts over it, and sibling shards read it to find jobs worth
-	// lending workers to. Lock order: growMu before fq.mu.
+	// growSet is the registry of running elastic jobs with unclaimed work:
+	// the dispatcher grows and preempts over it, and sibling shards read it
+	// to find jobs worth lending workers to. It is exact: releaseWave
+	// registers a job before its release wave, so before any participant
+	// can drain, complete or park it, and the job leaves when its cursor
+	// drains (Job.leaveGrowSet), when it completes, or when it parks
+	// suspended, each under growMu. Lock order: growMu before fq.mu.
 	growMu  sync.Mutex
 	growSet map[*Job]struct{}
 	// growables mirrors len(growSet) (updated under growMu) so parkWorker
@@ -297,6 +301,7 @@ type Scheduler struct {
 	suspended      atomic.Int64
 	suspendedTotal atomic.Int64
 	resumedTotal   atomic.Int64
+	absorbed       atomic.Int64
 	ckptWrites     atomic.Int64
 	ckptFails      atomic.Int64
 	// lastRunNanos is an EWMA of recent job run times, feeding the
@@ -388,7 +393,12 @@ func (s *Scheduler) freeJob(j *Job) {
 	j.state.Store(int32(Pending))
 	j.result, j.err = 0, nil
 	j.workers.Store(0)
+	// Under slotMu: a sibling shard's lender may still hold this job from
+	// its registry scan and call tryGrow, which reads elastic under the lock.
+	j.slotMu.Lock()
 	j.elastic = false
+	j.slotMu.Unlock()
+	j.ungrowable.Store(false)
 	j.active.Store(0)
 	j.maxK = 0
 	j.acc = 0
@@ -401,7 +411,7 @@ func (s *Scheduler) freeJob(j *Job) {
 	j.ranNanos.Store(0)
 	j.resumeFrom, j.resumeAcc, j.ckptSeed = 0, 0, 0
 	j.ckpt = nil
-	j.submitted, j.started = time.Time{}, time.Time{}
+	j.submitted, j.started, j.doneAt = time.Time{}, time.Time{}, time.Time{}
 	j.s, j.home, j.pool = nil, nil, nil
 	j.after, j.acyclic = nil, false
 	j.tr = nil
@@ -552,10 +562,10 @@ func (s *Scheduler) submit(req Request, pool *Sharded) (*Job, error) {
 			// original id, so /trace/{job} and event subscribers see one
 			// continuous lifecycle across the restart.
 			j.tr = s.cfg.Tracer.BeginAt(req.Checkpoint.JobID, j.tenant, req.Label, req.Priority)
-			j.tr.Event(trace.EvSubmitted, s.cfg.shard, 0, "recovered")
+			j.tr.EventAt(trace.EvSubmitted, s.cfg.shard, 0, "recovered", j.submitted)
 		} else {
 			j.tr = s.cfg.Tracer.Begin(j.tenant, req.Label, req.Priority)
-			j.tr.Event(trace.EvSubmitted, s.cfg.shard, 0, "")
+			j.tr.EventAt(trace.EvSubmitted, s.cfg.shard, 0, "", j.submitted)
 		}
 	}
 	s.initCheckpoint(j, &req)
@@ -618,8 +628,8 @@ func (s *Scheduler) submit(req Request, pool *Sharded) (*Job, error) {
 			j.partials[0].v = req.Identity
 		}
 		if j.tr != nil {
-			j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "")
-			j.tr.Event(trace.EvDispatched, s.cfg.shard, 0, "degenerate")
+			j.tr.EventAt(trace.EvAdmitted, s.cfg.shard, 0, "", j.started)
+			j.tr.EventAt(trace.EvDispatched, s.cfg.shard, 0, "degenerate", j.started)
 		}
 		j.complete()
 		return j, nil
@@ -732,14 +742,17 @@ func (s *Scheduler) tryDirectAdmit(j *Job) bool {
 	s.idleMu.Unlock()
 	s.submitted.Add(1)
 	s.fq.account(j.tenant).submitted.Add(1)
+	// One clock read times both the admission and the release wave: on this
+	// path they are the same instant.
+	now := time.Now()
 	if j.tr != nil {
-		j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "direct")
+		j.tr.EventAt(trace.EvAdmitted, s.cfg.shard, 0, "direct", now)
 	}
 	// The job is not yet published (Submit has not returned), so no Cancel
 	// can race this transition: a plain store suffices where the dispatcher's
 	// admit needs a CAS.
 	j.state.Store(int32(Running))
-	s.releaseWave(j, buf[:n], elastic, chunk, maxK)
+	s.releaseWave(j, buf[:n], elastic, chunk, maxK, now)
 	if elastic && n < maxK {
 		// Under-provisioned: let the dispatcher top the team up (grow) once
 		// more workers park. A full team (n == maxK) needs no wake — growth
@@ -753,8 +766,9 @@ func (s *Scheduler) tryDirectAdmit(j *Job) bool {
 // releaseWave moves a job (already accounted, not in any queue) to Running
 // on the given workers and performs the fork-side release wave: one buffered
 // value send per worker, never waiting for the sub-team to assemble. Shared
-// by the dispatcher's admit and the submit fast path.
-func (s *Scheduler) releaseWave(j *Job, ids []int, elastic bool, chunk, maxK int) {
+// by the dispatcher's admit and the submit fast path; now is the dispatch
+// time, which also starts the initial sub-team's trace waves.
+func (s *Scheduler) releaseWave(j *Job, ids []int, elastic bool, chunk, maxK int, now time.Time) {
 	k := len(ids)
 	var bar barrier.HalfPair
 	if elastic {
@@ -772,28 +786,35 @@ func (s *Scheduler) releaseWave(j *Job, ids []int, elastic bool, chunk, maxK int
 			bar = j.bar
 		}
 	}
-	j.started = time.Now()
+	j.started = now
 	s.running.Add(1)
-	j.tr.Event(trace.EvDispatched, s.cfg.shard, k, "")
-	for sub := 0; sub < k; sub++ {
-		a := assignment{job: j, sub: sub, elastic: elastic}
-		if elastic {
-			if slot, ok := j.popSlot(); ok {
-				a.sub = slot
-			}
-		} else {
-			a.k, a.bar = k, bar
-		}
-		s.assign[ids[sub]] <- a
+	wave := -1
+	if j.tr != nil {
+		j.tr.EventAt(trace.EvDispatched, s.cfg.shard, k, "", now)
+		wave = j.tr.WavesAt(k, s.cfg.shard, false, now)
 	}
-	// Publish the job for growth and cross-shard lending only after the
-	// release wave: growers drain the slot stack concurrently, and
-	// advertising the job earlier could take the initial team's slots.
+	// Publish the job for growth and cross-shard lending before the release
+	// wave: no participant has run yet, so the job is Running with every
+	// chunk unclaimed, and each exit from the registry (drained cursor,
+	// completion, suspension) happens after this entry exists. Growers may
+	// join at once; initElastic kept the initial team's ids off their stack.
+	// Nothing here reads the job after the sends — a tiny job can complete,
+	// be released and be recycled before the last send returns.
 	if elastic {
 		s.growMu.Lock()
 		s.growSet[j] = struct{}{}
 		s.growables.Store(int32(len(s.growSet)))
 		s.growMu.Unlock()
+	}
+	for sub := 0; sub < k; sub++ {
+		a := assignment{job: j, sub: sub, elastic: elastic, wave: -1}
+		if wave >= 0 {
+			a.wave = wave + sub
+		}
+		if !elastic {
+			a.k, a.bar = k, bar
+		}
+		s.assign[ids[sub]] <- a
 	}
 }
 
@@ -884,7 +905,7 @@ func (s *Scheduler) submitBatchChunk(reqs []Request, out []*Job) error {
 		j.tenant, j.prio, j.deadline = tenantName(req.Tenant), req.Priority, req.Deadline
 		if s.cfg.Tracer != nil {
 			j.tr = s.cfg.Tracer.Begin(j.tenant, req.Label, req.Priority)
-			j.tr.Event(trace.EvSubmitted, s.cfg.shard, 0, "")
+			j.tr.EventAt(trace.EvSubmitted, s.cfg.shard, 0, "", now)
 		}
 		if req.N <= 0 {
 			// Degenerate loop: complete inline, never queued (see submit).
@@ -897,8 +918,8 @@ func (s *Scheduler) submitBatchChunk(reqs []Request, out []*Job) error {
 				j.partials[0].v = req.Identity
 			}
 			if j.tr != nil {
-				j.tr.Event(trace.EvAdmitted, s.cfg.shard, 0, "")
-				j.tr.Event(trace.EvDispatched, s.cfg.shard, 0, "degenerate")
+				j.tr.EventAt(trace.EvAdmitted, s.cfg.shard, 0, "", now)
+				j.tr.EventAt(trace.EvDispatched, s.cfg.shard, 0, "degenerate", now)
 			}
 			j.complete()
 			out[i] = j
@@ -1142,38 +1163,42 @@ func (s *Scheduler) deleteCheckpoint(j *Job) {
 	}
 }
 
-// noteSuspended registers a job that just parked in the Suspended state:
-// gauges, the suspended set (Close's sweep target), the lifecycle event and
-// the durable snapshot. Called by Suspend (queued jobs) and by the last
-// quiescing participant (running jobs). If Close's sweep already ran, the
+// noteSuspended parks a job: it moves the job from state from (Pending for
+// Suspend's queued path, Running for the last quiescing participant) to
+// Suspended and registers the park — gauges, the suspended set (Close's
+// sweep target), the lifecycle event and the durable snapshot — all under
+// suspendMu. A Resume or Cancel can win the Suspended state only after the
+// transition, and its own bookkeeping (suspendForget, suspendDrop) takes
+// suspendMu, so it always follows the whole park: its event after suspended,
+// its set and gauge updates after the registration, its checkpoint delete
+// after the put. It reports false when the state was no longer from (a
+// queued job canceled in the window). If Close's sweep already ran, the
 // parking side finishes the job's cancellation itself — the sweep can no
 // longer see it.
-func (s *Scheduler) noteSuspended(j *Job) {
-	if j.elastic {
-		// A parked job must leave the grow registry now, not at the next lazy
-		// prune: a resume re-admits it (which rewrites the elastic state in
-		// initElastic), and a grower or sibling lender still finding the old
-		// registry entry would race that re-initialization.
-		s.growMu.Lock()
-		delete(s.growSet, j)
-		s.growables.Store(int32(len(s.growSet)))
-		s.growMu.Unlock()
+func (s *Scheduler) noteSuspended(j *Job, from State) bool {
+	s.suspendMu.Lock()
+	if !j.state.CompareAndSwap(int32(from), int32(Suspended)) {
+		s.suspendMu.Unlock()
+		return false
 	}
+	// Cleared only after Suspended is stored, so a Suspend that still saw
+	// Running posted before this clear (see postSuspend).
+	j.suspendReq.Store(false)
 	s.suspended.Add(1)
 	s.suspendedTotal.Add(1)
-	s.suspendMu.Lock()
 	closedNow := s.suspendClosed
 	if !closedNow {
 		s.suspendSet[j] = struct{}{}
 	}
-	s.suspendMu.Unlock()
 	if j.tr != nil {
 		j.tr.Event(trace.EvSuspended, s.cfg.shard, 0, fmt.Sprintf("cursor=%d", j.resumeFrom))
 	}
 	s.writeCheckpoint(j)
+	s.suspendMu.Unlock()
 	if closedNow {
 		s.cancelSuspendedForClose(j)
 	}
+	return true
 }
 
 // suspendDrop unregisters a suspended job that was canceled: set, gauge and
@@ -1406,9 +1431,9 @@ func (s *Scheduler) elasticFor(j *Job) bool {
 
 // dispatch is the arbitration loop. It no longer sits on an intake channel —
 // submitters push into the fair queue themselves (or bypass it entirely on
-// the direct-handoff fast path) and ring wakeC. Each round the dispatcher:
-// prunes the grow registry; admits jobs in policy order (priority class, then
-// weighted-fair stride arbitration between tenants, EDF within a class) onto
+// the direct-handoff fast path) and ring wakeC. Each round the dispatcher
+// admits jobs in policy order (priority class, then weighted-fair stride
+// arbitration between tenants, EDF within a class) onto
 // parked workers, performing each fork-side release wave (one buffered value
 // send per chosen worker; like the paper's release half-barrier, it never
 // waits for a sub-team); posts chunk-granular preemption targets on running
@@ -1434,7 +1459,6 @@ func (s *Scheduler) dispatch() {
 		defer stealTimer.Stop()
 	}
 	for {
-		s.pruneGrowSet()
 		// Admit in policy order while both queued work and parked workers
 		// remain. Workers are popped before the queue pop so a job is never
 		// taken out of the fair queue without a team to put it on.
@@ -1525,19 +1549,6 @@ func (s *Scheduler) dispatch() {
 	}
 }
 
-// pruneGrowSet drops registry entries whose jobs completed or drained their
-// cursors (growth lazily discovers both).
-func (s *Scheduler) pruneGrowSet() {
-	s.growMu.Lock()
-	for j := range s.growSet {
-		if j.State() != Running || j.cursor.Remaining() == 0 {
-			delete(s.growSet, j)
-		}
-	}
-	s.growables.Store(int32(len(s.growSet)))
-	s.growMu.Unlock()
-}
-
 // clearShrinkTargets lifts every posted preemption constraint.
 func (s *Scheduler) clearShrinkTargets() {
 	s.growMu.Lock()
@@ -1565,11 +1576,11 @@ func (s *Scheduler) preemptForWaiting() {
 	if len(s.growSet) == 0 {
 		return
 	}
-	head := s.fq.peek()
-	if head == nil {
+	headPrio, headDeadline, ok := s.fq.peek()
+	if !ok {
 		return
 	}
-	risk := s.deadlineRisk(head)
+	risk := s.deadlineRisk(headDeadline)
 	if s.runningScratch == nil {
 		s.runningScratch = make(map[string]int)
 		s.sharesScratch = make(map[string]int)
@@ -1585,7 +1596,7 @@ func (s *Scheduler) preemptForWaiting() {
 		if allowed < 1 {
 			allowed = 1
 		}
-		if (head.prio > j.prio || risk) && allowed > 1 {
+		if (headPrio > j.prio || risk) && allowed > 1 {
 			allowed = (allowed + 1) / 2
 		}
 		target := int32(allowed)
@@ -1609,12 +1620,12 @@ func (s *Scheduler) preemptForWaiting() {
 // that waiting for a running job to finish on its own would likely miss it:
 // within twice the recent average job run time (floored at 1ms so a cold
 // scheduler still honors tight deadlines).
-func (s *Scheduler) deadlineRisk(j *Job) bool {
-	if j.deadline.IsZero() {
+func (s *Scheduler) deadlineRisk(deadline time.Time) bool {
+	if deadline.IsZero() {
 		return false
 	}
 	now := time.Now()
-	if !j.deadline.After(now) {
+	if !deadline.After(now) {
 		// Already missed: no amount of preemption can save it, so shrinking
 		// well-behaved tenants' running jobs for it would be pure harm — a
 		// deadline-spamming tenant must not preempt its way through the
@@ -1625,7 +1636,7 @@ func (s *Scheduler) deadlineRisk(j *Job) bool {
 	if horizon < time.Millisecond {
 		horizon = time.Millisecond
 	}
-	return !j.deadline.After(now.Add(horizon))
+	return !deadline.After(now.Add(horizon))
 }
 
 // SetTenantWeight registers (or re-weights) a tenant's fair-share weight;
@@ -1658,7 +1669,7 @@ func (s *Scheduler) admit(j *Job, idle []int) []int {
 			k = maxK
 		}
 	}
-	s.releaseWave(j, idle[len(idle)-k:], elastic, chunk, maxK)
+	s.releaseWave(j, idle[len(idle)-k:], elastic, chunk, maxK, time.Now())
 	return idle[:len(idle)-k]
 }
 
@@ -1682,7 +1693,7 @@ func (s *Scheduler) grow(idle []int) []int {
 			idle = idle[:len(idle)-1]
 			s.grown.Add(1)
 			j.tr.Event(trace.EvGrown, s.cfg.shard, int(j.active.Load()), "")
-			s.assign[id] <- assignment{job: j, sub: sub, elastic: true}
+			s.assign[id] <- assignment{job: j, sub: sub, elastic: true, wave: j.tr.WaveStart(s.cfg.shard, false)}
 			progressed = true
 		}
 		if !progressed {
@@ -1706,9 +1717,30 @@ func (s *Scheduler) lendTo(j *Job, idle []int) []int {
 		idle = idle[:len(idle)-1]
 		s.lent.Add(1)
 		j.tr.Event(trace.EvLent, s.cfg.shard, int(j.active.Load()), "")
-		s.assign[id] <- assignment{job: j, sub: sub, elastic: true}
+		s.assign[id] <- assignment{job: j, sub: sub, elastic: true, wave: j.tr.WaveStart(s.cfg.shard, true)}
 	}
 	return idle
+}
+
+// unqueue removes j from whichever admission queue holds it — this
+// scheduler's, or a sibling shard's when the job was stolen or released
+// there — and returns that queue's scheduler, or nil when no queue holds it
+// (mid-pop or mid-steal). It reads no j.s: a steal rewrites that field
+// concurrently, but the push into the thief's queue happens under the queue
+// lock the removal takes, after the rewrite.
+func (s *Scheduler) unqueue(j *Job) *Scheduler {
+	if p := s.cfg.pool; p != nil {
+		for _, sh := range p.shards {
+			if sh.fq.remove(j) {
+				return sh
+			}
+		}
+		return nil
+	}
+	if s.fq.remove(j) {
+		return s
+	}
+	return nil
 }
 
 // stealQueued removes one job from this scheduler's fair queue on behalf of
@@ -1726,18 +1758,16 @@ func (s *Scheduler) stealQueued() *Job {
 }
 
 // lendableJob returns a running elastic job that still has unclaimed work,
-// for a sibling shard to lend workers to, or nil. Entries that completed or
-// drained their cursor are dropped lazily.
+// for a sibling shard to lend workers to, or nil. A registered job whose
+// last chunks are all claimed is skipped; it leaves the registry as soon as
+// one of its participants finds the cursor empty.
 func (s *Scheduler) lendableJob() *Job {
 	s.growMu.Lock()
 	defer s.growMu.Unlock()
 	for j := range s.growSet {
-		if j.State() != Running || j.cursor.Remaining() == 0 {
-			delete(s.growSet, j)
-			s.growables.Store(int32(len(s.growSet)))
-			continue
+		if j.cursor.Remaining() > 0 {
+			return j
 		}
-		return j
 	}
 	return nil
 }
@@ -1760,11 +1790,16 @@ func (s *Scheduler) worker(id int) {
 // completing worker exactly once per job.
 func (s *Scheduler) recordCompletion(j *Job) {
 	now := time.Now()
+	j.doneAt = now
 	if j.elastic {
-		s.growMu.Lock()
-		delete(s.growSet, j)
-		s.growables.Store(int32(len(s.growSet)))
-		s.growMu.Unlock()
+		j.leaveGrowSet()
+	}
+	// A suspend request still posted at completion was absorbed: the job ran
+	// to the end instead of parking (see Job.Suspend). Done is already
+	// stored, so a request posted from here on is retracted by its poster.
+	absorbed := j.suspendReq.Load() && j.suspendReq.Swap(false)
+	if absorbed {
+		s.absorbed.Add(1)
 	}
 	s.completed.Add(1)
 	acct := s.fq.account(j.tenant)
@@ -1822,11 +1857,14 @@ func (s *Scheduler) recordCompletion(j *Job) {
 		s.cfg.admission.recordOutcome(j.tenant, missed, now)
 	}
 	if j.tr != nil {
+		if absorbed {
+			j.tr.EventAt(trace.EvSuspendAbsorbed, s.cfg.shard, 0, "", now)
+		}
 		detail := ""
 		if missed {
 			detail = "deadline_missed"
 		}
-		j.tr.Event(trace.EvJoined, s.cfg.shard, int(j.workers.Load()), detail)
+		j.tr.EventAt(trace.EvJoined, s.cfg.shard, int(j.workers.Load()), detail, now)
 	}
 	// The job is done: its snapshot must not be recovered.
 	s.deleteCheckpoint(j)
@@ -1953,11 +1991,14 @@ type Stats struct {
 	// SuspendedDepth is the number of jobs currently parked in the Suspended
 	// state — like BlockedDepth, outside QueueDepth. SuspendedTotal and
 	// ResumedTotal count lifecycle transitions into and out of it.
+	// SuspendAbsorbed counts accepted suspend requests on running jobs that
+	// completed instead of parking (see Job.Suspend).
 	// CheckpointWrites and CheckpointFailures count snapshot puts against the
 	// configured store (both zero without one).
 	SuspendedDepth     int64 `json:"suspended_depth"`
 	SuspendedTotal     int64 `json:"suspended_total"`
 	ResumedTotal       int64 `json:"resumed_total"`
+	SuspendAbsorbed    int64 `json:"suspend_absorbed_total"`
 	CheckpointWrites   int64 `json:"checkpoint_writes_total"`
 	CheckpointFailures int64 `json:"checkpoint_failures_total"`
 	// Tenants is the per-tenant accounting: weights, queued depth, served
@@ -2026,6 +2067,7 @@ func (s *Scheduler) statsWindows() (Stats, []float64, []float64) {
 		SuspendedDepth:     s.suspended.Load(),
 		SuspendedTotal:     s.suspendedTotal.Load(),
 		ResumedTotal:       s.resumedTotal.Load(),
+		SuspendAbsorbed:    s.absorbed.Load(),
 		CheckpointWrites:   s.ckptWrites.Load(),
 		CheckpointFailures: s.ckptFails.Load(),
 		Tenants:            s.fq.tenantsSnapshot(s.cfg.SLOTarget),

@@ -213,9 +213,13 @@ func (p *Sharded) routeFor(tenant string) *Scheduler {
 
 // shardLoad scores a shard for admission routing: queued tenants dominate
 // (a job behind a queue waits a full job, not a chunk), then occupancy, both
-// normalized by the shard's team size.
+// normalized by the shard's team size. Occupancy counts the workers off the
+// idle stack, which a release wave pops before it returns; a worker's own
+// busy count lags until its goroutine wakes, and scoring by it could route
+// a job to a shard whose every worker was just handed one while a sibling
+// still had an idle worker.
 func shardLoad(s *Scheduler) float64 {
-	return (float64(s.depth.Load())*4 + float64(s.running.Load()) + float64(s.busy.Load())) / float64(s.p)
+	return (float64(s.depth.Load())*4 + float64(s.p-s.idleCount())) / float64(s.p)
 }
 
 // Submit enqueues a job on the least-loaded shard and returns immediately.
@@ -416,7 +420,6 @@ func (p *Sharded) statsSnapshot() ShardedStats {
 		out.Total.BusyWorkers += st.BusyWorkers
 		out.Total.QueueDepth += st.QueueDepth
 		out.Total.Running += st.Running
-		out.Total.Submitted += st.Submitted
 		out.Total.Completed += st.Completed
 		out.Total.Canceled += st.Canceled
 		out.Total.IterationsDone += st.IterationsDone
@@ -435,6 +438,7 @@ func (p *Sharded) statsSnapshot() ShardedStats {
 		out.Total.SuspendedDepth += st.SuspendedDepth
 		out.Total.SuspendedTotal += st.SuspendedTotal
 		out.Total.ResumedTotal += st.ResumedTotal
+		out.Total.SuspendAbsorbed += st.SuspendAbsorbed
 		out.Total.CheckpointWrites += st.CheckpointWrites
 		out.Total.CheckpointFailures += st.CheckpointFailures
 		// Per-tenant accounting merges across shards: counters sum (a job
@@ -471,6 +475,16 @@ func (p *Sharded) statsSnapshot() ShardedStats {
 		out.Total.RunSumSeconds += st.RunSumSeconds
 		tot = append(tot, wt...)
 		run = append(run, wr...)
+	}
+	// Submitted is read last. Every job the walk counted completed, canceled
+	// or queued was submitted before that count was read, so the snapshot
+	// keeps Submitted >= Completed + Canceled + QueueDepth even when it is
+	// torn: a job submitted on one shard after the walk passed it can run
+	// and complete on a shard the walk reaches later, and under continuous
+	// migration Stats returns a torn walk rather than never returning.
+	for i, s := range p.shards {
+		out.Shards[i].Submitted = s.submitted.Load()
+		out.Total.Submitted += out.Shards[i].Submitted
 	}
 	if len(tot) > 0 {
 		q := stats.Quantiles(tot, 0.5, 0.95, 0.99)

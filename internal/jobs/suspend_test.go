@@ -423,3 +423,63 @@ func TestSuspendCancelWhileSuspended(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSuspendAbsorbedIsCounted pins the Suspend contract's second outcome: a
+// request accepted on a running elastic job whose cursor is already drained
+// (here its single chunk is claimed and held) cannot park it, so the job
+// completes instead. Wait returns the full result, Resume refuses,
+// Stats.SuspendAbsorbed counts it, and the trace records suspend_absorbed
+// just before joined. A running rigid job refuses the request outright.
+func TestSuspendAbsorbedIsCounted(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      Config
+		absorbed bool
+	}{
+		{"elastic-drained", Config{}, true},
+		{"rigid", Config{DisableElastic: true}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Tracer = trace.NewTracer(64)
+			s := testScheduler(t, 2, tc.cfg)
+			entered, release := make(chan struct{}), make(chan struct{})
+			j, err := s.Submit(Request{
+				N: 1, Grain: 1, Identity: 0, Commutative: true,
+				Combine: func(a, b float64) float64 { return a + b },
+				RBody: func(w, lo, hi int, acc float64) float64 {
+					close(entered)
+					<-release
+					return acc + 7
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			<-entered
+			if got := j.Suspend(); got != tc.absorbed {
+				t.Fatalf("Suspend on the running job = %v, want %v", got, tc.absorbed)
+			}
+			close(release)
+			v, err := j.Wait()
+			if err != nil || v != 7 {
+				t.Fatalf("Wait = %v, %v; want 7, nil", v, err)
+			}
+			if j.State() != Done || j.Resume() || j.Suspend() {
+				t.Fatalf("state %v: a completed job must refuse Resume and Suspend", j.State())
+			}
+			want := int64(0)
+			if tc.absorbed {
+				want = 1
+			}
+			st := s.Stats()
+			if st.SuspendAbsorbed != want || st.SuspendedTotal != 0 {
+				t.Fatalf("absorbed/suspended = %d/%d, want %d/0", st.SuspendAbsorbed, st.SuspendedTotal, want)
+			}
+			evs := j.Trace().Events()
+			n := len(evs)
+			if got := n >= 2 && evs[n-2].Type == "suspend_absorbed"; got != tc.absorbed || evs[n-1].Type != "joined" {
+				t.Fatalf("trace tail %v: suspend_absorbed before joined = %v, want %v", evs, got, tc.absorbed)
+			}
+		})
+	}
+}

@@ -191,3 +191,58 @@ func TestInvariantTracedShardedWithStealing(t *testing.T) {
 	evs := stop()
 	schedtest.AssertEventOrder(t, evs)
 }
+
+// TestTraceSubscriberBeforeSubmitSeesEveryEvent pins the zero-subscriber
+// fast path: events skip the subscriber walk only while nobody is
+// subscribed, so a subscription registered just before a submit receives
+// every event of that job, identical to the job's own record and in causal
+// Seq order. The loop alternates subscribed and unsubscribed jobs so the
+// count flips between zero and one throughout.
+func TestTraceSubscriberBeforeSubmitSeesEveryEvent(t *testing.T) {
+	tr := trace.NewTracer(64)
+	s := jobs.New(jobs.Config{Workers: 2, Tracer: tr})
+	defer s.Close()
+	req := jobs.Request{N: 2, Grain: 1, Body: func(w, lo, hi int) {}}
+	for i := 0; i < 200; i++ {
+		if i%2 == 1 {
+			j, err := s.Submit(req) // nobody listening
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		sub := tr.Subscribe(64, "", 0)
+		j, err := s.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := j.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		want := j.Trace().Events()
+		var got []trace.StreamEvent
+		for len(got) < len(want) {
+			select {
+			case ev := <-sub.Events():
+				if ev.Job == j.TraceID() {
+					got = append(got, ev)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("job %d: subscriber got %d of %d events: %v", i, len(got), len(want), got)
+			}
+		}
+		sub.Close()
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("job %d: delivered event %d = %+v, recorded %+v", i, k, got[k], want[k])
+			}
+		}
+		schedtest.AssertEventOrder(t, got)
+		if got[0].Type != "submitted" || got[len(got)-1].Type != "joined" {
+			t.Fatalf("job %d: delivered %v, want submitted first and joined last", i, got)
+		}
+	}
+}

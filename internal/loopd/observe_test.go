@@ -509,3 +509,42 @@ func TestDebugPprofGatedByFlag(t *testing.T) {
 		t.Errorf("/debug/pprof/ status %d without -debug, want 404", resp.StatusCode)
 	}
 }
+
+// TestTraceEndpointKeepsLastCapacity checks the /trace/{job} retention
+// contract: each of the last TraceCapacity finished jobs is served, and a
+// job whose trace was evicted from the ring answers 404.
+func TestTraceEndpointKeepsLastCapacity(t *testing.T) {
+	const capacity = 3
+	_, ts := newTracedServer(t, Config{Workers: 2, TraceCapacity: capacity})
+	var ids []uint64
+	for i := 0; i < 2*capacity+1; i++ {
+		resp, err := http.Post(ts.URL+"/run?workload=sum&n=256", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rr runResponse
+		err = json.NewDecoder(resp.Body).Decode(&rr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(rr.Results) != 1 || rr.Results[0].Job == 0 {
+			t.Fatalf("traced /run response carries no job id: %+v", rr.Results)
+		}
+		ids = append(ids, rr.Results[0].Job)
+	}
+	for k, id := range ids {
+		resp, err := http.Get(fmt.Sprintf("%s/trace/%d", ts.URL, id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		want := http.StatusNotFound
+		if k >= len(ids)-capacity {
+			want = http.StatusOK
+		}
+		if resp.StatusCode != want {
+			t.Errorf("/trace/%d (job %d of %d) status %d, want %d", id, k+1, len(ids), resp.StatusCode, want)
+		}
+	}
+}

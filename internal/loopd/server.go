@@ -921,6 +921,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge("loopd_jobs_suspended_depth", "jobs currently parked in the suspended state (outside every admission queue)", float64(tot.SuspendedDepth))
 	counter("loopd_jobs_suspended_total", "jobs ever parked by a suspend", float64(tot.SuspendedTotal))
 	counter("loopd_jobs_resumed_total", "suspended jobs ever re-admitted by a resume", float64(tot.ResumedTotal))
+	counter("loopd_jobs_suspend_absorbed_total", "accepted suspend requests on running jobs that completed instead of parking", float64(tot.SuspendAbsorbed))
 	counter("loopd_checkpoint_writes_total", "progress snapshots written to the checkpoint store", float64(tot.CheckpointWrites))
 	counter("loopd_checkpoint_failures_total", "checkpoint store operations that failed (job kept running, recoverability degraded)", float64(tot.CheckpointFailures))
 	counter("loopd_jobs_recovered_total", "jobs re-admitted from the checkpoint store at startup", float64(s.recovered.Load()))

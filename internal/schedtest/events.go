@@ -27,6 +27,9 @@ import (
 //   - suspended and resumed strictly alternate, each resume re-admits (so
 //     admitted/dispatched appear once per admission segment instead), and a
 //     cancel after a suspension is legal even on a dispatched job;
+//   - suspend_absorbed (a suspend request the completion absorbed) appears
+//     at most once, after dispatched and before joined, and only on a job
+//     that joined;
 //   - grown, lent, peeled and preempted require a dispatch, and grown/lent
 //     happen strictly before the join (the grow CAS holds a participant, so
 //     the job cannot complete first); peeled and preempted may trail it;
@@ -62,7 +65,7 @@ func AssertEventOrder(t testing.TB, events []trace.StreamEvent) {
 		// Every resume re-admits (and possibly re-dispatches) the job, so
 		// those two appear once per lifetime segment; the rest are one-shot.
 		suspends, resumes := count["suspended"], count["resumed"]
-		for _, typ := range []string{"submitted", "blocked", "released", "joined", "canceled"} {
+		for _, typ := range []string{"submitted", "blocked", "released", "joined", "canceled", "suspend_absorbed"} {
 			if count[typ] > 1 {
 				t.Errorf("job %d: %d %q events, want at most 1", id, count[typ], typ)
 			}
@@ -120,6 +123,11 @@ func AssertEventOrder(t testing.TB, events []trace.StreamEvent) {
 		ordered("dispatched", "joined")
 		ordered("admitted", "suspended")
 		ordered("suspended", "resumed")
+		ordered("dispatched", "suspend_absorbed")
+		ordered("suspend_absorbed", "joined")
+		if count["suspend_absorbed"] > 0 && count["joined"] == 0 {
+			t.Errorf("job %d: suspend_absorbed without joined", id)
+		}
 
 		dispatched, hasDispatched := first["dispatched"]
 		joined, hasJoined := first["joined"]

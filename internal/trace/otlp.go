@@ -112,11 +112,7 @@ func (jt *JobTrace) OTLP(service string) OTLPDocument {
 	if jt == nil {
 		return OTLPDocument{}
 	}
-	jt.mu.Lock()
-	events := append([]StreamEvent(nil), jt.events...)
-	waves := append([]Wave(nil), jt.waves...)
-	truncated := jt.truncated
-	jt.mu.Unlock()
+	events, waves, truncated := jt.snapshot()
 
 	var submitted, blocked, released, admitted, dispatched, end int64
 	outcome := "completed"

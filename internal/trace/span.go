@@ -8,8 +8,10 @@
 //
 // The layer is dependency-free and allocation-conscious: with no Tracer
 // configured every hook in the jobs runtime is a single nil check, and with
-// tracing on the cost per lifecycle transition is one mutex-guarded append on
-// the job's own trace plus a non-blocking send per subscriber. Nothing here
+// tracing on a job costs one allocation (its JobTrace, which holds a normal
+// lifecycle inline) and each transition one mutex-guarded append on the job's
+// own trace, timed by the clock read the scheduler already took, plus a
+// non-blocking send per subscriber when there are any. Nothing here
 // is ever on the per-chunk execution path — waves are recorded per
 // participant stint, not per chunk claim.
 package trace
@@ -55,6 +57,10 @@ const (
 	// same job id.
 	EvSuspended
 	EvResumed
+	// EvSuspendAbsorbed marks a suspend request accepted on a running job
+	// that completed instead of parking, because its cursor drained before
+	// the participants quiesced. It is recorded just before joined.
+	EvSuspendAbsorbed
 
 	numEventTypes
 )
@@ -75,6 +81,8 @@ var eventTypeNames = [numEventTypes]string{
 	EvShed:       "shed",
 	EvSuspended:  "suspended",
 	EvResumed:    "resumed",
+
+	EvSuspendAbsorbed: "suspend_absorbed",
 }
 
 // String implements fmt.Stringer.
@@ -144,6 +152,27 @@ type Wave struct {
 	EndUnixNano int64 `json:"end_unix_nano"`
 }
 
+// Inline capacities of a JobTrace: a normal lifecycle (submitted, admitted,
+// dispatched, joined, plus a grow or peel) and the initial sub-team's stints
+// on a small team fit without a second allocation; longer lives spill to the
+// heap through append, up to the per-job caps.
+const (
+	inlineEvents = 6
+	inlineWaves  = 2
+)
+
+// record is one lifecycle event as stored on its job's trace. The job's
+// identity (id, tenant, label, priority) lives once on the JobTrace, not on
+// every record; events rebuilds the full StreamEvent.
+type record struct {
+	seq     uint64
+	time    int64
+	detail  string
+	shard   int32
+	workers int32
+	typ     EventType
+}
+
 // JobTrace is one job's trace: identity, the ordered lifecycle events, and
 // the per-chunk-wave participant stints. A nil *JobTrace is valid and records
 // nothing, so an untraced scheduler pays one nil check per hook.
@@ -158,36 +187,71 @@ type JobTrace struct {
 	t *Tracer
 
 	mu        sync.Mutex
-	events    []StreamEvent
+	records   []record
 	waves     []Wave
 	truncated int // events and waves dropped past the per-job caps
 	finished  bool
+
+	// recordBuf/waveBuf back records and waves until they outgrow them, so a
+	// traced job costs one allocation: this struct.
+	recordBuf [inlineEvents]record
+	waveBuf   [inlineWaves]Wave
 }
 
-// Event records one lifecycle transition and publishes it to the tracer's
-// subscribers. A joined or canceled event finishes the trace and files it in
-// the tracer's collector ring (first terminal event wins). Safe on a nil
-// receiver.
+func newJobTrace(t *Tracer, id uint64, tenant, label string, priority int) *JobTrace {
+	jt := &JobTrace{ID: id, Tenant: tenant, Label: label, Priority: priority, t: t}
+	jt.records = jt.recordBuf[:0]
+	jt.waves = jt.waveBuf[:0]
+	return jt
+}
+
+// event rebuilds the StreamEvent of one record.
+func (jt *JobTrace) event(r *record) StreamEvent {
+	return StreamEvent{
+		Seq:          r.seq,
+		TimeUnixNano: r.time,
+		Type:         r.typ.String(),
+		Job:          jt.ID,
+		Tenant:       jt.Tenant,
+		Label:        jt.Label,
+		Shard:        int(r.shard),
+		Priority:     jt.Priority,
+		Workers:      int(r.workers),
+		Detail:       r.detail,
+	}
+}
+
+// Event records one lifecycle transition, timed now, and publishes it to the
+// tracer's subscribers. A joined, canceled or shed event finishes the trace
+// and files it in the tracer's collector ring (first terminal event wins).
+// Safe on a nil receiver.
 func (jt *JobTrace) Event(typ EventType, shard, workers int, detail string) {
 	if jt == nil {
 		return
 	}
+	jt.EventAt(typ, shard, workers, detail, time.Now())
+}
+
+// EventAt is Event for a transition the caller has already timed: the
+// scheduler passes the clock read it takes for its own accounting (submit,
+// dispatch and completion times) instead of reading the clock again. Safe on
+// a nil receiver.
+func (jt *JobTrace) EventAt(typ EventType, shard, workers int, detail string, at time.Time) {
+	if jt == nil {
+		return
+	}
 	t := jt.t
-	ev := StreamEvent{
-		Seq:          t.seq.Add(1),
-		TimeUnixNano: time.Now().UnixNano(),
-		Type:         typ.String(),
-		Job:          jt.ID,
-		Tenant:       jt.Tenant,
-		Label:        jt.Label,
-		Shard:        shard,
-		Priority:     jt.Priority,
-		Workers:      workers,
-		Detail:       detail,
+	r := record{
+		seq:     t.seq.Add(1),
+		time:    at.UnixNano(),
+		detail:  detail,
+		shard:   int32(shard),
+		workers: int32(workers),
+		typ:     typ,
 	}
 	jt.mu.Lock()
-	if len(jt.events) < maxEventsPerJob {
-		jt.events = append(jt.events, ev)
+	if len(jt.records) < maxEventsPerJob {
+		jt.records = append(jt.records, r)
 	} else {
 		jt.truncated++
 	}
@@ -199,23 +263,42 @@ func (jt *JobTrace) Event(typ EventType, shard, workers int, detail string) {
 	if finish {
 		t.col.add(jt)
 	}
-	t.publish(ev)
+	if t.subscribers.Load() > 0 {
+		t.publish(jt.event(&r))
+	}
 }
 
-// WaveStart records the beginning of one participant stint and returns its
-// index for WaveEnd. Safe on a nil receiver (returns -1).
+// WaveStart records the beginning of one participant stint, timed now, and
+// returns its index for WaveEnd. Safe on a nil receiver (returns -1).
 func (jt *JobTrace) WaveStart(shard int, lent bool) int {
 	if jt == nil {
 		return -1
 	}
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	if len(jt.waves) >= maxWavesPerJob {
-		jt.truncated++
+	return jt.WavesAt(1, shard, lent, time.Now())
+}
+
+// WavesAt records the beginning of n participant stints that all started at
+// at (a release wave hands a job to its initial sub-team at once) and
+// returns the index of the first (-1 when the per-job cap is already
+// reached); stint i's index is first+i, and WaveEnd ignores the indices of
+// stints that fell past the cap. Safe on a nil receiver (returns -1).
+func (jt *JobTrace) WavesAt(n, shard int, lent bool, at time.Time) (first int) {
+	if jt == nil {
 		return -1
 	}
-	jt.waves = append(jt.waves, Wave{Shard: shard, Lent: lent, StartUnixNano: time.Now().UnixNano()})
-	return len(jt.waves) - 1
+	w := Wave{Shard: shard, Lent: lent, StartUnixNano: at.UnixNano()}
+	jt.mu.Lock()
+	defer jt.mu.Unlock()
+	first = len(jt.waves)
+	fit := min(n, maxWavesPerJob-first)
+	for range fit {
+		jt.waves = append(jt.waves, w)
+	}
+	jt.truncated += n - fit
+	if fit == 0 {
+		return -1
+	}
+	return first
 }
 
 // WaveEnd records the end of the stint started as wave i. Safe on a nil
@@ -226,8 +309,24 @@ func (jt *JobTrace) WaveEnd(i int) {
 	}
 	now := time.Now().UnixNano()
 	jt.mu.Lock()
-	jt.waves[i].EndUnixNano = now
+	if i < len(jt.waves) {
+		jt.waves[i].EndUnixNano = now
+	}
 	jt.mu.Unlock()
+}
+
+// snapshot copies the events, waves and truncation count under one lock.
+func (jt *JobTrace) snapshot() ([]StreamEvent, []Wave, int) {
+	jt.mu.Lock()
+	defer jt.mu.Unlock()
+	var events []StreamEvent
+	if len(jt.records) > 0 {
+		events = make([]StreamEvent, len(jt.records))
+		for i := range jt.records {
+			events[i] = jt.event(&jt.records[i])
+		}
+	}
+	return events, append([]Wave(nil), jt.waves...), jt.truncated
 }
 
 // Events returns a copy of the lifecycle events recorded so far, in record
@@ -236,9 +335,8 @@ func (jt *JobTrace) Events() []StreamEvent {
 	if jt == nil {
 		return nil
 	}
-	jt.mu.Lock()
-	defer jt.mu.Unlock()
-	return append([]StreamEvent(nil), jt.events...)
+	events, _, _ := jt.snapshot()
+	return events
 }
 
 // Waves returns a copy of the participant stints recorded so far.
@@ -285,6 +383,9 @@ type Tracer struct {
 
 	subMu sync.RWMutex
 	subs  map[*Subscription]struct{}
+	// subscribers mirrors len(subs) (stored under subMu) so an event with
+	// nobody listening skips the lock and the map walk.
+	subscribers atomic.Int32
 
 	col collector
 }
@@ -307,14 +408,7 @@ func (t *Tracer) Begin(tenant, label string, priority int) *JobTrace {
 	if t == nil {
 		return nil
 	}
-	return &JobTrace{
-		ID:       t.ids.Add(1),
-		Tenant:   tenant,
-		Label:    label,
-		Priority: priority,
-		t:        t,
-		events:   make([]StreamEvent, 0, 8),
-	}
+	return newJobTrace(t, t.ids.Add(1), tenant, label, priority)
 }
 
 // BeginAt starts a job trace under a caller-chosen id — the crash-recovery
@@ -333,14 +427,7 @@ func (t *Tracer) BeginAt(id uint64, tenant, label string, priority int) *JobTrac
 			break
 		}
 	}
-	return &JobTrace{
-		ID:       id,
-		Tenant:   tenant,
-		Label:    label,
-		Priority: priority,
-		t:        t,
-		events:   make([]StreamEvent, 0, 8),
-	}
+	return newJobTrace(t, id, tenant, label, priority)
 }
 
 // Trace returns the finished trace of the given job id, or nil when the job
@@ -393,13 +480,10 @@ func (t *Tracer) Stats() TracerStats {
 	if t == nil {
 		return TracerStats{}
 	}
-	t.subMu.RLock()
-	subs := len(t.subs)
-	t.subMu.RUnlock()
 	return TracerStats{
 		EventsTotal:    int64(t.seq.Load()),
 		DroppedTotal:   t.dropped.Load(),
-		Subscribers:    subs,
+		Subscribers:    int(t.subscribers.Load()),
 		FinishedTraces: t.col.len(),
 	}
 }
@@ -427,6 +511,7 @@ func (t *Tracer) Subscribe(buffer int, tenant string, job uint64) *Subscription 
 	s := &Subscription{c: make(chan StreamEvent, buffer), t: t, tenant: tenant, job: job}
 	t.subMu.Lock()
 	t.subs[s] = struct{}{}
+	t.subscribers.Store(int32(len(t.subs)))
 	t.subMu.Unlock()
 	return s
 }
@@ -443,30 +528,27 @@ func (s *Subscription) Dropped() int64 { return s.dropped.Load() }
 func (s *Subscription) Close() {
 	s.t.subMu.Lock()
 	delete(s.t.subs, s)
+	s.t.subscribers.Store(int32(len(s.t.subs)))
 	s.t.subMu.Unlock()
 }
 
-// collector is the ring buffer of finished job traces, indexed by job id.
+// collector is the ring buffer of finished job traces. Lookups by job id
+// scan it newest first: they serve the rare GET /trace/{job}, while filing a
+// trace happens once per job and must stay a slot store.
 type collector struct {
 	mu   sync.Mutex
 	ring []*JobTrace
-	byID map[uint64]int
 	next int
 	n    int
 }
 
 func (c *collector) init(capacity int) {
 	c.ring = make([]*JobTrace, capacity)
-	c.byID = make(map[uint64]int, capacity)
 }
 
 func (c *collector) add(jt *JobTrace) {
 	c.mu.Lock()
-	if old := c.ring[c.next]; old != nil {
-		delete(c.byID, old.ID)
-	}
 	c.ring[c.next] = jt
-	c.byID[jt.ID] = c.next
 	c.next = (c.next + 1) % len(c.ring)
 	if c.n < len(c.ring) {
 		c.n++
@@ -477,11 +559,15 @@ func (c *collector) add(jt *JobTrace) {
 func (c *collector) get(id uint64) *JobTrace {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.byID[id]
-	if !ok {
-		return nil
+	for k, i := 0, c.next; k < c.n; k++ {
+		if i--; i < 0 {
+			i = len(c.ring) - 1
+		}
+		if jt := c.ring[i]; jt.ID == id {
+			return jt
+		}
 	}
-	return c.ring[i]
+	return nil
 }
 
 func (c *collector) len() int {

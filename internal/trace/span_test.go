@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestNilTracerIsInert(t *testing.T) {
@@ -324,5 +325,94 @@ func TestOTLPCanceledOutcome(t *testing.T) {
 		if a.Key == "outcome" && a.Value.StringValue != "canceled" {
 			t.Errorf("outcome = %q, want canceled", a.Value.StringValue)
 		}
+	}
+}
+
+// TestOTLPGoldenBytes pins the export byte for byte on a deterministic trace
+// (caller-timed events and waves through EventAt/WavesAt): a dependency
+// wait, a grow, a suspend/resume pause, a lent wave, an open wave and a
+// missed deadline. The expected document is the one the exporter produced
+// when every event still stored its full StreamEvent, so the compact
+// per-job records change nothing a /trace/{job} client can see.
+func TestOTLPGoldenBytes(t *testing.T) {
+	tr := NewTracer(4)
+	jt := tr.BeginAt(7, "acme", "sum", 2)
+	base := int64(1_700_000_000_000_000_000)
+	typ := []EventType{EvSubmitted, EvBlocked, EvReleased, EvAdmitted, EvDispatched, EvGrown, EvSuspended, EvResumed, EvAdmitted, EvDispatched, EvJoined}
+	det := []string{"", "", "", "", "", "", "cursor=4", "cursor=4", "", "", "deadline_missed"}
+	wk := []int{0, 0, 0, 0, 2, 3, 0, 0, 0, 1, 3}
+	for i := range typ {
+		jt.EventAt(typ[i], i%2, wk[i], det[i], time.Unix(0, base+int64(i)*1000))
+	}
+	for i, ev := range jt.Events() {
+		want := StreamEvent{Seq: uint64(i + 1), TimeUnixNano: base + int64(i)*1000, Type: typ[i].String(), Job: 7,
+			Tenant: "acme", Label: "sum", Shard: i % 2, Priority: 2, Workers: wk[i], Detail: det[i]}
+		if ev != want {
+			t.Fatalf("event %d = %+v, want %+v", i, ev, want)
+		}
+	}
+	w := jt.WavesAt(2, 0, false, time.Unix(0, base+4000)) // the second stays open
+	l := jt.WavesAt(1, 1, true, time.Unix(0, base+5000))
+	jt.waves[w].EndUnixNano = base + 5500
+	jt.waves[l].EndUnixNano = base + 6000
+	got, err := json.Marshal(jt.OTLP("loopd"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"resourceSpans":[{"resource":{"attributes":[{"key":"service.name","value":{"stringValue":"loopd"}}]},"scopeSpans":[{"scope":{"name":"loopsched/internal/trace"},"spans":[{"traceId":"00000000000000000000000000000007","spanId":"0000000000070001","name":"job","kind":1,"startTimeUnixNano":"1700000000000000000","endTimeUnixNano":"1700000000000010000","attributes":[{"key":"job.id","value":{"intValue":"7"}},{"key":"tenant","value":{"stringValue":"acme"}},{"key":"priority","value":{"intValue":"2"}},{"key":"shard","value":{"intValue":"0"}},{"key":"outcome","value":{"stringValue":"completed"}},{"key":"label","value":{"stringValue":"sum"}},{"key":"workers.peak","value":{"intValue":"3"}}]},{"traceId":"00000000000000000000000000000007","spanId":"0000000000070002","parentSpanId":"0000000000070001","name":"blocked","kind":1,"startTimeUnixNano":"1700000000000001000","endTimeUnixNano":"1700000000000002000"},{"traceId":"00000000000000000000000000000007","spanId":"0000000000070003","parentSpanId":"0000000000070001","name":"queued","kind":1,"startTimeUnixNano":"1700000000000008000","endTimeUnixNano":"1700000000000009000"},{"traceId":"00000000000000000000000000000007","spanId":"0000000000070004","parentSpanId":"0000000000070001","name":"run","kind":1,"startTimeUnixNano":"1700000000000009000","endTimeUnixNano":"1700000000000010000","attributes":[{"key":"workers.initial","value":{"intValue":"1"}}]},{"traceId":"00000000000000000000000000000007","spanId":"0000000000070005","parentSpanId":"0000000000070004","name":"wave","kind":1,"startTimeUnixNano":"1700000000000004000","endTimeUnixNano":"1700000000000005500","attributes":[{"key":"shard","value":{"intValue":"0"}}]},{"traceId":"00000000000000000000000000000007","spanId":"0000000000070006","parentSpanId":"0000000000070004","name":"wave","kind":1,"startTimeUnixNano":"1700000000000004000","endTimeUnixNano":"1700000000000010000","attributes":[{"key":"shard","value":{"intValue":"0"}}]},{"traceId":"00000000000000000000000000000007","spanId":"0000000000070007","parentSpanId":"0000000000070004","name":"wave","kind":1,"startTimeUnixNano":"1700000000000005000","endTimeUnixNano":"1700000000000006000","attributes":[{"key":"shard","value":{"intValue":"1"}},{"key":"lent","value":{"boolValue":true}}]},{"traceId":"00000000000000000000000000000007","spanId":"0000000000070008","parentSpanId":"0000000000070001","name":"suspended","kind":1,"startTimeUnixNano":"1700000000000006000","endTimeUnixNano":"1700000000000007000","attributes":[{"key":"cursor","value":{"intValue":"4"}}]}]}]}]}`
+	if string(got) != want {
+		t.Fatalf("OTLP document changed:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestCollectorServesEachOfTheLastCapacity files several rings' worth of
+// traces and checks, after every filing, that each of the most recent
+// capacity traces is found by id and every older one is evicted.
+func TestCollectorServesEachOfTheLastCapacity(t *testing.T) {
+	const capacity = 5
+	tr := NewTracer(capacity)
+	var ids []uint64
+	for i := 0; i < 3*capacity+2; i++ {
+		jt := tr.Begin("t", "", 0)
+		jt.Event(EvJoined, 0, 1, "")
+		ids = append(ids, jt.ID)
+		for k, id := range ids {
+			got := tr.Trace(id)
+			if recent := k >= len(ids)-capacity; recent && (got == nil || got.ID != id) {
+				t.Fatalf("after %d filings: trace %d missing", i+1, id)
+			} else if !recent && got != nil {
+				t.Fatalf("after %d filings: evicted trace %d still served", i+1, id)
+			}
+		}
+	}
+	if tr.Trace(ids[len(ids)-1]+1) != nil {
+		t.Fatal("served a trace for an id never filed")
+	}
+}
+
+// TestWavesAtCapsAndOverflow covers a release wave straddling the per-job
+// cap: the stints that fit are recorded, the rest counted as truncated, and
+// WaveEnd ignores the indices of the dropped ones.
+func TestWavesAtCapsAndOverflow(t *testing.T) {
+	jt := NewTracer(2).Begin("t", "", 0)
+	for i := 0; i < maxWavesPerJob-1; i++ {
+		jt.WaveStart(0, false)
+	}
+	first := jt.WavesAt(3, 1, false, time.Unix(0, 42))
+	if first != maxWavesPerJob-1 {
+		t.Fatalf("WavesAt first = %d, want %d", first, maxWavesPerJob-1)
+	}
+	for i := 0; i < 3; i++ {
+		jt.WaveEnd(first + i)
+	}
+	waves := jt.Waves()
+	if len(waves) != maxWavesPerJob || waves[first].StartUnixNano != 42 || waves[first].EndUnixNano == 0 {
+		t.Fatalf("waves len %d, last %+v", len(waves), waves[len(waves)-1])
+	}
+	if got := jt.WavesAt(1, 0, false, time.Unix(0, 43)); got != -1 {
+		t.Fatalf("WavesAt past the cap = %d, want -1", got)
+	}
+	if got := jt.Truncated(); got != 3 {
+		t.Fatalf("Truncated = %d, want 3", got)
 	}
 }

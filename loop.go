@@ -542,6 +542,21 @@ func (j *Job) Wait() error {
 	return err
 }
 
+// Done returns a channel closed once the job has completed or been
+// canceled (already closed for a failed submission).
+func (j *Job) Done() <-chan struct{} {
+	if j.inner == nil {
+		return closedChan
+	}
+	return j.inner.Done()
+}
+
+var closedChan = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
 // Result blocks until the job completes and returns the reduction result
 // (0 for non-reducing jobs) and any error.
 func (j *Job) Result() (float64, error) {
@@ -565,7 +580,10 @@ func (j *Job) Cancel() bool {
 // is ever interrupted mid-chunk). Reports whether the pause was accepted —
 // false for terminal, blocked, or rigid mid-run jobs; true (idempotently)
 // for one already suspended. A suspended job holds no workers and its Wait
-// keeps blocking until it is resumed or canceled.
+// keeps blocking until it is resumed or canceled. A running job whose
+// iterations were all claimed before it could quiesce absorbs an accepted
+// request instead: it completes normally, counted in the scheduler stats'
+// SuspendAbsorbed. Wait for the park or the completion, whichever comes.
 func (j *Job) Suspend() bool {
 	if j.inner == nil {
 		return false

@@ -861,9 +861,14 @@ func TestPublicSubmitBatchAllocs(t *testing.T) {
 func TestAsyncSuspendResume(t *testing.T) {
 	pool := testPool(t, Config{Workers: 2})
 	const n = 200_000
+	// The first chunks wait until the suspend is posted: a job whose cursor
+	// drained first would absorb the request and complete instead of
+	// parking (see jobs.Job.Suspend), and the pause would go untested.
+	posted := make(chan struct{})
 	j := pool.SubmitReduceOpts(n, JobOptions{Commutative: true, Grain: 256}, 0,
 		func(a, b float64) float64 { return a + b },
 		func(_, low, high int, acc float64) float64 {
+			<-posted
 			for i := low; i < high; i++ {
 				acc += float64(i)
 			}
@@ -872,6 +877,7 @@ func TestAsyncSuspendResume(t *testing.T) {
 	if !j.Suspend() {
 		t.Fatal("Suspend refused on an in-flight job")
 	}
+	close(posted)
 	if !j.Suspend() {
 		t.Error("Suspend is not idempotent on a parked job")
 	}
@@ -898,5 +904,12 @@ func TestAsyncSuspendResume(t *testing.T) {
 	bad := &Job{}
 	if bad.Suspend() || bad.Resume() {
 		t.Error("Suspend/Resume accepted on a failed-submission handle")
+	}
+	for _, h := range []*Job{j, bad} {
+		select {
+		case <-h.Done():
+		default:
+			t.Error("Done not closed on a finished handle")
+		}
 	}
 }
